@@ -19,8 +19,13 @@ ten-kilobyte blobs.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import hashlib
 import json
 import os
+import sys
+import tempfile
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 #: Simulator event-queue engines (see ``repro.sim.kernel``).
@@ -122,3 +127,149 @@ def _first_divergence(a: str, b: str) -> str:
                 f"offset {i}: ...{a[lo:i + 40]!r} != ...{b[lo:i + 40]!r}"
             )
     return f"length {len(a)} != {len(b)}"
+
+
+def sha256_canonical(payload: Any) -> str:
+    """sha256 hex digest of :func:`canonical` -- what the pins store."""
+    return hashlib.sha256(canonical(payload).encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Pinned artifacts (``tests/golden/artifact_pins.json``)
+# ----------------------------------------------------------------------
+#: sha256 pins of every artifact the differential suite compares that
+#: has no golden file of its own.  Regenerate (after an *intentional*
+#: behaviour change only) with
+#: ``PYTHONPATH=src python tests/_differential.py --regen``.
+PINS_FILE = Path(__file__).parent / "golden" / "artifact_pins.json"
+PINS_SCHEMA = "repro-pins/1"
+
+#: Fault-campaign frame count of ``tests/test_fault_campaign.py``.
+CAMPAIGN_PIN_FRAMES = 40
+#: Gateway chaos fleet shape (vehicles, frames, seed).
+GATEWAY_PIN_SHAPE = (3, 10, 2025)
+#: Adaptive chaos frame count and the scenarios pinned.
+ADAPT_PIN_FRAMES = 96
+ADAPT_PIN_SCENARIOS = ("adapt_baseline", "canary_rollback")
+#: ChainReport stream cases: name -> (worker ms, frames); all-OK vs
+#: deadline-miss heavy.
+CHAIN_REPORT_CASES = {"on_time": (5, 12), "late": (50, 8)}
+
+
+def load_pins() -> dict:
+    data = json.loads(PINS_FILE.read_text())
+    assert data["schema"] == PINS_SCHEMA
+    return data
+
+
+def campaign_payloads(result) -> Dict[str, dict]:
+    """Per-scenario ``ScenarioResult`` payloads of a campaign result."""
+    return {s.name: dataclasses.asdict(s) for s in result.scenarios}
+
+
+def gateway_report(name: str) -> dict:
+    """One gateway chaos scenario's result document."""
+    from repro.telemetry.gateway import gateway_scenarios
+    from repro.telemetry.uplink.chaos import ChaosConfig
+
+    vehicles, frames, seed = GATEWAY_PIN_SHAPE
+    config = ChaosConfig(vehicles=vehicles, frames=frames, seed=seed)
+    scenario = {s.name: s for s in gateway_scenarios()}[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        return scenario.make_driver(config, Path(tmp)).run().to_json()
+
+
+def adapt_report(name: str) -> list:
+    """One adaptive chaos scenario's per-scenario report entries."""
+    from repro.adaptive.chaos import AdaptConfig, default_scenarios, run_adapt
+
+    scenario = {s.name: s for s in default_scenarios()}[name]
+    report = run_adapt(AdaptConfig(frames=ADAPT_PIN_FRAMES), [scenario])
+    return report["scenarios"]
+
+
+def chain_report_stream(case: str) -> dict:
+    """ChainReport, latencies and exceptions of one pipeline run."""
+    from _harness import PipelineWorld
+    from repro.sim import msec
+
+    worker_ms, frames = CHAIN_REPORT_CASES[case]
+    world = PipelineWorld(
+        worker_time=lambda i: msec(worker_ms), d_mon=msec(20)
+    )
+    world.publish_frames(frames)
+    world.run(until=msec(200 * frames))
+    report = world.chain_runtime.finalize()
+    return {
+        "report": dataclasses.asdict(report),
+        "latencies": world.runtime.latencies,
+        "exceptions": world.runtime.exceptions,
+    }
+
+
+def compute_pins(run: Callable[[Callable[[], Any], str], Any]) -> dict:
+    """Every pinned artifact's digest; *run(fn, context)* produces one
+    artifact (the hook lets the regenerator cross-check engines)."""
+    from repro.faults import CampaignConfig, run_default_campaign
+    from repro.telemetry.gateway import gateway_scenarios
+
+    campaign = run(
+        lambda: campaign_payloads(run_default_campaign(
+            CampaignConfig(n_frames=CAMPAIGN_PIN_FRAMES)
+        )),
+        "campaign",
+    )
+    vehicles, frames, seed = GATEWAY_PIN_SHAPE
+    return {
+        "schema": PINS_SCHEMA,
+        "fault_campaign": {
+            "n_frames": CAMPAIGN_PIN_FRAMES,
+            "scenarios": {
+                name: sha256_canonical(payload)
+                for name, payload in campaign.items()
+            },
+        },
+        "gateway_chaos": {
+            "vehicles": vehicles, "frames": frames, "seed": seed,
+            "scenarios": {
+                s.name: sha256_canonical(run(
+                    lambda: gateway_report(s.name), f"gateway:{s.name}"
+                ))
+                for s in gateway_scenarios()
+            },
+        },
+        "adaptive_chaos": {
+            "frames": ADAPT_PIN_FRAMES,
+            "scenarios": {
+                name: sha256_canonical(run(
+                    lambda: adapt_report(name), f"adapt:{name}"
+                ))
+                for name in ADAPT_PIN_SCENARIOS
+            },
+        },
+        "chain_report": {
+            case: sha256_canonical(run(
+                lambda: chain_report_stream(case), f"chain_report:{case}"
+            ))
+            for case in CHAIN_REPORT_CASES
+        },
+    }
+
+
+def _run_under_engine_pairs(fn: Callable[[], Any], context: str) -> Any:
+    """Produce an artifact under both engine corners; they must agree."""
+    results = {}
+    for sim, telemetry in (("calendar", "batched"), ("heap", "scalar")):
+        with engine_env(sim=sim, telemetry=telemetry):
+            results[f"{sim}+{telemetry}"] = fn()
+    assert_identical(results, context=context)
+    return results["calendar+batched"]
+
+
+if __name__ == "__main__":
+    if "--regen" not in sys.argv:
+        sys.exit("usage: PYTHONPATH=src python tests/_differential.py --regen")
+    sys.path.insert(0, str(Path(__file__).parent))
+    pins = compute_pins(_run_under_engine_pairs)
+    PINS_FILE.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {PINS_FILE}")

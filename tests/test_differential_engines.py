@@ -21,12 +21,21 @@ from pathlib import Path
 import pytest
 
 from _differential import (
+    ADAPT_PIN_FRAMES,
+    ADAPT_PIN_SCENARIOS,
+    CHAIN_REPORT_CASES,
+    GATEWAY_PIN_SHAPE,
     SIM_ENGINES,
     TELEMETRY_ENGINES,
+    adapt_report,
     assert_identical,
+    chain_report_stream,
     engine_env,
+    gateway_report,
+    load_pins,
     run_under_sim_engines,
     run_under_telemetry_engines,
+    sha256_canonical,
 )
 
 from repro.adaptive.chaos import (
@@ -322,3 +331,36 @@ class TestChainReportStream:
         engines = {r.pop("engine") for r in results.values()}
         assert engines == set(SIM_ENGINES)
         assert_identical(results, context=f"chain_report:{worker_ms}ms")
+
+
+# ----------------------------------------------------------------------
+# Byte-level pins (tests/golden/artifact_pins.json)
+# ----------------------------------------------------------------------
+class TestPinnedArtifacts:
+    """Gateway/adaptive chaos reports and ChainReport streams are
+    frozen byte for byte (the fault campaign's payload pins live with
+    its module fixture in ``test_fault_campaign.py``)."""
+
+    @pytest.mark.parametrize("name", [s.name for s in gateway_scenarios()])
+    def test_gateway_report_matches_pin(self, name):
+        pins = load_pins()["gateway_chaos"]
+        assert (pins["vehicles"], pins["frames"], pins["seed"]) == (
+            GATEWAY_PIN_SHAPE
+        )
+        assert sha256_canonical(gateway_report(name)) == (
+            pins["scenarios"][name]
+        ), f"gateway:{name} diverged from its pin"
+
+    @pytest.mark.parametrize("name", ADAPT_PIN_SCENARIOS)
+    def test_adapt_report_matches_pin(self, name):
+        pins = load_pins()["adaptive_chaos"]
+        assert pins["frames"] == ADAPT_PIN_FRAMES
+        assert sha256_canonical(adapt_report(name)) == (
+            pins["scenarios"][name]
+        ), f"adapt:{name} diverged from its pin"
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_REPORT_CASES))
+    def test_chain_report_matches_pin(self, case):
+        assert sha256_canonical(chain_report_stream(case)) == (
+            load_pins()["chain_report"][case]
+        ), f"chain_report:{case} diverged from its pin"

@@ -1,10 +1,19 @@
 """The full fault campaign: coverage, oracles, determinism, lesions.
 
 The default scenario matrix is expensive (~20 s), so it runs once as a
-module-scoped fixture and every assertion reads from that result.
+module-scoped fixture and every assertion reads from that result --
+including the byte-level pins of every ``ScenarioResult`` payload in
+``tests/golden/artifact_pins.json``.
 """
 
 import pytest
+
+from _differential import (
+    CAMPAIGN_PIN_FRAMES,
+    campaign_payloads,
+    load_pins,
+    sha256_canonical,
+)
 
 from repro.faults import (
     CampaignConfig,
@@ -67,6 +76,24 @@ class TestCampaignMatrix:
         assert "campaign: PASS" in report
         for scenario in campaign_result.scenarios:
             assert scenario.name in report
+
+
+class TestPinnedPayloads:
+    """Every scenario's full result payload is frozen byte for byte."""
+
+    def test_pins_cover_the_matrix(self, campaign_result):
+        pins = load_pins()["fault_campaign"]
+        assert pins["n_frames"] == N_FRAMES == CAMPAIGN_PIN_FRAMES
+        assert set(pins["scenarios"]) == {
+            s.name for s in campaign_result.scenarios
+        }
+
+    @pytest.mark.parametrize("name", [s.name for s in default_scenarios()])
+    def test_payload_matches_pin(self, campaign_result, name):
+        payload = campaign_payloads(campaign_result)[name]
+        assert sha256_canonical(payload) == (
+            load_pins()["fault_campaign"]["scenarios"][name]
+        ), f"{name}: campaign payload diverged from its pin"
 
 
 class TestOracleDiscrimination:
