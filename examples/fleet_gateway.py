@@ -54,9 +54,7 @@ SCENARIO = GatewayChaosScenario(
     expect_shed=True,
 )
 
-CONFIG = ChaosConfig(
-    vehicles=VEHICLES, frames=10, seed=2025, protocol="windowed",
-)
+CONFIG = ChaosConfig(vehicles=VEHICLES, frames=10, seed=2025)
 
 
 def main() -> None:

@@ -38,7 +38,7 @@ import json
 import sys
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -1043,11 +1043,6 @@ def _run_one(
     return AdaptDriver(scenario, config, Path(workdir)).run()
 
 
-def _worker_init(package_root: str) -> None:  # pragma: no cover
-    if package_root not in sys.path:
-        sys.path.insert(0, package_root)
-
-
 def _run_scenario_by_name(payload: Tuple[str, dict]) -> dict:
     """Worker task: rebuild one named default scenario and run it in an
     isolated tempdir.  Names cross the process boundary, results come
@@ -1071,26 +1066,12 @@ def run_adapt(
     config = config or AdaptConfig()
     scenarios = scenarios if scenarios is not None else default_scenarios()
     if jobs > 1 and workdir is None:
-        import multiprocessing
-        import os
+        from repro.experiments.parallel import spawn_pool
 
-        package_root = str(Path(__file__).resolve().parents[2])
-        config_fields = {
-            "vehicles": config.vehicles, "frames": config.frames,
-            "seed": config.seed, "max_steps": config.max_steps,
-            "fsync": config.fsync,
-            "segment_max_records": config.segment_max_records,
-            "checkpoint_every": config.checkpoint_every,
-            "sigma": config.sigma,
-        }
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(
-            processes=min(jobs, len(scenarios), os.cpu_count() or 1),
-            initializer=_worker_init, initargs=(package_root,),
-        ) as pool:
+        with spawn_pool(min(jobs, len(scenarios))) as pool:
             docs = pool.map(
                 _run_scenario_by_name,
-                [(s.name, config_fields) for s in scenarios],
+                [(s.name, asdict(config)) for s in scenarios],
             )
     else:
         docs = [

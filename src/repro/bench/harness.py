@@ -34,9 +34,9 @@ DEFAULT_THRESHOLD = 0.30
 #: same host in the same invocation.
 THROUGHPUT_FLOORS: Dict[str, tuple] = {
     "uplink_roundtrip_windowed": ("uplink_roundtrip", 2.0),
-    # Calendar-queue engine vs the old lazy-cancel heap on identical
-    # rearm/cancel-storm workloads (the ``*_heap`` twins pin the
-    # reference engine in-process).
+    # Calendar-queue kernel vs the old lazy-cancel heap on identical
+    # rearm/cancel-storm workloads (the ``*_heap`` twins run
+    # ``repro.bench.reference.HeapSimulator`` in-process).
     "timer_rearm": ("timer_rearm_heap", 2.0),
     "kernel_cancel_sweep": ("kernel_cancel_sweep_heap", 2.0),
     # Batched SoA ingest vs the per-record scalar telemetry path on the

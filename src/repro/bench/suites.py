@@ -49,15 +49,25 @@ def bench_kernel_cancel_sweep() -> int:
     Each sweep cancels a quarter of the armed events outright and
     rearms the survivors at a later deadline -- the pattern a
     NORMAL->DEGRADED transition produces when deadline monitors are
-    torn down and re-armed en masse.  The heap engine pays a lazy
-    O(log n) pop for every dead entry plus a fresh handle per rearm;
-    the calendar queue retires dead entries in bulk compactions and
-    rearms in place.  Units are queue operations (schedule, cancel,
+    torn down and re-armed en masse.  The reference heap kernel pays a
+    lazy O(log n) pop for every dead entry plus a fresh handle per
+    rearm; the calendar queue retires dead entries in bulk compactions
+    and rearms in place.  Units are queue operations (schedule, cancel,
     rearm, fire).
     """
     from repro.sim import Simulator
 
-    sim = Simulator()
+    return _cancel_sweep(Simulator())
+
+
+def bench_kernel_cancel_sweep_heap() -> int:
+    """``kernel_cancel_sweep`` on the reference heap kernel."""
+    from repro.bench.reference import HeapSimulator
+
+    return _cancel_sweep(HeapSimulator())
+
+
+def _cancel_sweep(sim) -> int:
     callback = (lambda: None)
     n = 4000
     sweeps = 8
@@ -80,9 +90,20 @@ def bench_kernel_cancel_sweep() -> int:
 def bench_timer_rearm() -> int:
     """Deadline-QoS style re-arming: every start cancels the last."""
     from repro.sim import Simulator
+
+    return _timer_rearm(Simulator())
+
+
+def bench_timer_rearm_heap() -> int:
+    """``timer_rearm`` on the reference heap kernel."""
+    from repro.bench.reference import HeapSimulator
+
+    return _timer_rearm(HeapSimulator())
+
+
+def _timer_rearm(sim) -> int:
     from repro.sim.timers import Timer
 
-    sim = Simulator()
     fired = []
     timer = Timer(sim, lambda: fired.append(1))
     n = 3000
@@ -330,16 +351,16 @@ def bench_telemetry_ingest() -> int:
     """Fleet record stream through the per-record ingest -> alert path.
 
     The stream is pre-materialized (see ``_fleet_stream``) so the
-    measured work is the service's, not the generator's.  The scalar
-    engine is pinned explicitly: this bench is the reference side of
-    the ``ingest_batched`` throughput floor.
+    measured work is the service's, not the generator's.  It runs the
+    reference per-record pump (:class:`ScalarTelemetryService`): this
+    bench is the reference side of the ``ingest_batched`` throughput
+    floor.
     """
-    from repro.telemetry import ServiceConfig, TelemetryService
+    from repro.bench.reference import ScalarTelemetryService
+    from repro.telemetry import ServiceConfig
 
     store_config, records, _ = _fleet_stream()
-    service = TelemetryService(ServiceConfig(
-        store=store_config, engine="scalar",
-    ))
+    service = ScalarTelemetryService(ServiceConfig(store=store_config))
     service.ingest_many(records)
     service.drain()
     assert service.accounting_ok(), "telemetry accounting violated"
@@ -350,20 +371,18 @@ def bench_telemetry_ingest_batched() -> int:
     """The same fleet stream through the columnar batched ingest path.
 
     Identical records, store config, and alert policy as
-    ``telemetry_ingest`` -- the only difference is the engine: one
+    ``telemetry_ingest`` -- the only difference is the ingest path: one
     struct-of-arrays :class:`~repro.telemetry.batch.RecordBatch`
     through :meth:`~repro.telemetry.service.TelemetryService.ingest_batch`
     and the store's grouped/vectorized ``apply_batch``.  The floor gate
     holds this at >= 2x the scalar reference's throughput; the
-    differential suite separately proves both engines produce
+    differential suite separately proves both paths produce
     byte-identical store digests and alert logs.
     """
     from repro.telemetry import ServiceConfig, TelemetryService
 
     store_config, _records, batch = _fleet_stream()
-    service = TelemetryService(ServiceConfig(
-        store=store_config, engine="batched",
-    ))
+    service = TelemetryService(ServiceConfig(store=store_config))
     service.ingest_batch(batch)
     service.drain()
     assert service.accounting_ok(), "telemetry accounting violated"
@@ -638,45 +657,17 @@ def bench_warehouse_query() -> int:
     return rows
 
 
-def _engine_pinned(engine: str, fn: Callable[[], int]) -> Callable[[], int]:
-    """Run a bench body with the sim engine forced to *engine*.
-
-    The ``*_heap`` reference twins are the same workload pinned to the
-    old lazy-cancel heap, so the ``timer_rearm`` / ``kernel_cancel_sweep``
-    throughput floors compare the two queue engines on identical work
-    in the same process (shared-runner noise cancels instead of
-    biasing one side).
-    """
-    import functools
-    import os
-
-    @functools.wraps(fn)
-    def wrapper() -> int:
-        previous = os.environ.get("REPRO_SIM_ENGINE")
-        os.environ["REPRO_SIM_ENGINE"] = engine
-        try:
-            return fn()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_SIM_ENGINE", None)
-            else:
-                os.environ["REPRO_SIM_ENGINE"] = previous
-
-    return wrapper
-
-
 #: suite name -> ordered list of (bench name, layer, unit, fn).
 SUITES: Dict[str, List[Tuple[str, str, str, Callable[[], int]]]] = {
     KERNEL_SUITE: [
         ("kernel_dispatch", "kernel", "events", bench_kernel_dispatch),
         ("kernel_cancel_sweep", "kernel", "events", bench_kernel_cancel_sweep),
         ("kernel_cancel_sweep_heap", "kernel", "events",
-         _engine_pinned("heap", bench_kernel_cancel_sweep)),
+         bench_kernel_cancel_sweep_heap),
         ("tracing_spans_off", "tracing", "events", bench_tracing_spans_off),
         ("tracing_spans_on", "tracing", "events", bench_tracing_spans_on),
         ("timer_rearm", "kernel", "arms", bench_timer_rearm),
-        ("timer_rearm_heap", "kernel", "arms",
-         _engine_pinned("heap", bench_timer_rearm)),
+        ("timer_rearm_heap", "kernel", "arms", bench_timer_rearm_heap),
         ("scheduler_pingpong", "scheduler", "switches", bench_scheduler_pingpong),
         ("scheduler_preempt", "scheduler", "periods", bench_scheduler_preempt),
         ("dds_local_pubsub", "dds", "roundtrips", bench_dds_local_pubsub),

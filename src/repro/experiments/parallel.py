@@ -56,9 +56,12 @@ def _run_scenario_by_name(payload: Tuple[str, object]):
     return FaultCampaign(config=config).run_scenario(matching[0])
 
 
-def _pool(jobs: int):
-    # spawn (not fork): workers import repro afresh, so they cannot
-    # inherit mutated parent state that a serial run would not see.
+def spawn_pool(jobs: int):
+    """Worker pool shared by every parallel runner.
+
+    spawn (not fork): workers import repro afresh, so they cannot
+    inherit mutated parent state that a serial run would not see.
+    """
     context = multiprocessing.get_context("spawn")
     return context.Pool(
         processes=jobs, initializer=_worker_init, initargs=(_PACKAGE_ROOT,)
@@ -81,7 +84,7 @@ def run_experiments_parallel(
         raise KeyError(f"unknown experiments {unknown}")
     if jobs <= 1 or len(names) <= 1:
         return [_run_experiment_by_name(n) for n in names]
-    with _pool(min(jobs, len(names))) as pool:
+    with spawn_pool(min(jobs, len(names))) as pool:
         return pool.map(_run_experiment_by_name, names)
 
 
@@ -120,6 +123,6 @@ def run_campaign_parallel(
     if jobs <= 1 or len(payloads) <= 1:
         results = [_run_scenario_by_name(p) for p in payloads]
     else:
-        with _pool(min(jobs, len(payloads))) as pool:
+        with spawn_pool(min(jobs, len(payloads))) as pool:
             results = pool.map(_run_scenario_by_name, payloads)
     return CampaignResult(scenarios=results)

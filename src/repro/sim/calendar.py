@@ -1,7 +1,8 @@
 """Bucketed calendar queue for the simulation kernel and monitor timers.
 
 The kernel's original priority queue is a binary heap of
-``(time, priority, seq, event)`` tuples.  Heaps are O(log n) per
+``(time, priority, seq, event)`` tuples (kept as a reference:
+:class:`repro.bench.reference.HeapSimulator`).  Heaps are O(log n) per
 operation and -- worse for the timer-heavy workloads -- cancelled
 entries stay resident until they surface at the root, paying a full
 O(log n) pop each.  ``timer_rearm`` style workloads (cancel + re-push on
@@ -35,14 +36,14 @@ range and the active bucket is always the earliest non-empty one, so
 serving ``min(sorted_remainder, overflow_heap)`` until both are empty
 and then activating the smallest pending bucket yields globally sorted
 output.  ``tests/test_calendar_queue.py`` proves pop-order equality
-against ``heapq`` with Hypothesis over arbitrary
+against a heap (:class:`repro.bench.reference.EagerHeapQueue`) with
+Hypothesis over arbitrary
 schedule/cancel/rearm/advance interleavings.
 
-The module also provides :class:`EagerHeapQueue`: the same eager-cancel
-accounting layered over a plain heap.  The monitor thread uses it when
-the kernel runs the reference ``heap`` engine, so stale timeout entries
-are freed eagerly under *both* engines (they used to leak until their
-deadline surfaced).
+The kernel (:mod:`repro.sim.kernel`) and the monitor thread's timeout
+queue (:mod:`repro.core.local_monitor`) both use it, so stale timer and
+timeout entries are freed eagerly instead of leaking until their
+deadline surfaces.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, List, Optional, Tuple
 
-__all__ = ["CalendarQueue", "EagerHeapQueue", "CancelToken", "DEFAULT_SHIFT"]
+__all__ = ["CalendarQueue", "CancelToken", "DEFAULT_SHIFT"]
 
 #: Default bucket width exponent: ``1 << 20`` ns (~1.05 ms) per bucket.
 #: Chain periods, monitor deadlines, and timer rearm horizons in this
@@ -317,71 +318,3 @@ class CalendarQueue:
                 continue
             return entry
 
-
-class EagerHeapQueue:
-    """Binary heap with the calendar queue's eager-cancel compaction.
-
-    Same entry layout and pop order as a plain ``heapq`` (it *is* one),
-    but cancelled entries are counted and the heap is rebuilt without
-    them once they outnumber the compaction threshold -- so a
-    cancel-heavy producer can no longer grow the heap without bound.
-    Used by the monitor thread under the reference ``heap`` engine and
-    by differential tests as the order oracle.
-    """
-
-    __slots__ = ("_heap", "_dead", "_compact_at")
-
-    def __init__(self) -> None:
-        self._heap: List[Entry] = []
-        self._dead = 0
-        self._compact_at = _MIN_COMPACT
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def live(self) -> int:
-        return len(self._heap) - self._dead
-
-    def __bool__(self) -> bool:
-        return self.live > 0
-
-    def push(self, time: int, priority: int, seq: int, payload: Any) -> None:
-        payload._cq = self
-        payload._seq = seq
-        heapq.heappush(self._heap, (time, priority, seq, payload))
-
-    def note_cancel(self) -> None:
-        self._dead += 1
-        if self._dead >= self._compact_at:
-            heap = [e for e in self._heap if e[3]._seq == e[2]]
-            heapq.heapify(heap)
-            self._heap = heap
-            self._dead = 0
-            self._compact_at = max(_MIN_COMPACT, len(heap))
-
-    def pop(self, limit: Optional[int] = None) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._seq != entry[2]:
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            if limit is not None and entry[0] > limit:
-                return None
-            heapq.heappop(heap)
-            entry[3]._cq = None
-            return entry
-        return None
-
-    def peek(self) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._seq != entry[2]:
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            return entry
-        return None

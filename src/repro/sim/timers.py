@@ -54,8 +54,8 @@ class Timer:
                 time, self._fire, label=self._label
             )
         else:
-            # Rearm through the kernel primitive: under the calendar
-            # engine this reuses the handle with no allocation.
+            # Rearm through the kernel primitive: it reuses the handle
+            # with no allocation.
             self._event = self.sim.reschedule(event, time)
 
     def cancel(self) -> None:

@@ -17,8 +17,7 @@ invariants:
 - explicit backpressure (window-update acks, rate ``retry_after``)
   stalls clients without losing records.
 
-``python -m repro chaos`` appends these scenarios to the sweep when
-the protocol is ``windowed`` (the default).
+``python -m repro chaos`` appends these scenarios to the sweep.
 """
 
 from __future__ import annotations
@@ -152,12 +151,8 @@ class GatewayChaosDriver(ChaosDriver):
         self, scenario: GatewayChaosScenario, config: ChaosConfig,
         workdir: Path,
     ):
-        # Gateway scenarios need frames + sessions: force the windowed
-        # protocol, and adopt the scenario's stream fault cadence.
-        config = replace(
-            config, protocol="windowed",
-            faulty_every=scenario.faulty_every,
-        )
+        # Adopt the scenario's stream fault cadence.
+        config = replace(config, faulty_every=scenario.faulty_every)
         self._vehicle_index: Dict[str, int] = {}
         #: Gateway counters folded across gateway lives (soft state
         #: dies with the process; ground truth lives in the driver).

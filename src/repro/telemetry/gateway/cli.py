@@ -71,7 +71,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     scenario = episode_scenario(args.overload)
     config = ChaosConfig(
         vehicles=args.vehicles, frames=args.frames, seed=args.seed,
-        protocol="windowed",
     )
     with tempfile.TemporaryDirectory(prefix="repro-gateway-") as tmp:
         driver = scenario.make_driver(config, Path(tmp))

@@ -11,7 +11,8 @@ document a ``GET /status`` would serve, built from the live
 - the (m,k) chain summary and an alert feed (most recent first).
 
 :func:`render_status` turns the document into the terminal dashboard
-``python -m repro gateway --status`` prints.  Both are pure functions
+``python -m repro gateway`` prints after its episode (``--json`` prints
+the document itself).  Both are pure functions
 of the service state, so a status report replays byte-identically with
 the run that produced it.
 """

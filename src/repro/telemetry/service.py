@@ -18,7 +18,6 @@ i.e. **no silent drops** -- see :meth:`accounting_ok`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Union
 
@@ -27,13 +26,6 @@ from repro.telemetry.batch import RecordBatch
 from repro.telemetry.pipeline import DEFAULT_CAPACITY, IngestQueue
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.store import ChainStateStore, StoreConfig
-
-#: Environment override for :attr:`ServiceConfig.engine`.
-ENGINE_ENV = "REPRO_TELEMETRY_ENGINE"
-
-#: Recognized ingest engines.
-ENGINES = ("batched", "scalar")
-
 
 @dataclass
 class ServiceConfig:
@@ -45,25 +37,12 @@ class ServiceConfig:
     #: Pump automatically whenever the queue holds this many records
     #: (None: only explicit pump() calls drain the queue).
     auto_pump_batch: Optional[int] = 4096
-    #: Ingest engine: "batched" drains through the columnar
-    #: :meth:`~repro.telemetry.store.ChainStateStore.apply_batch` hot
-    #: path, "scalar" through the per-record reference ``apply``.  None
-    #: resolves from the ``REPRO_TELEMETRY_ENGINE`` environment
-    #: variable, defaulting to "batched".  Both engines produce
-    #: byte-identical store snapshots and alert logs (the differential
-    #: suite's headline claim).
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.auto_pump_batch is not None and self.auto_pump_batch < 1:
             raise ValueError("auto_pump_batch must be >= 1 or None")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown telemetry engine {self.engine!r} "
-                f"(expected one of {ENGINES})"
-            )
 
 
 class TelemetryService:
@@ -71,17 +50,6 @@ class TelemetryService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        engine = self.config.engine
-        if engine is None:
-            engine = os.environ.get(ENGINE_ENV, "batched")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown telemetry engine {engine!r} "
-                f"(expected one of {ENGINES})"
-            )
-        #: Which ingest engine pump() routes through (fixed at
-        #: construction; ``self.engine`` is the *alert* engine).
-        self.ingest_engine = engine
         self.queue = IngestQueue(self.config.queue_capacity)
         self.store = ChainStateStore(self.config.store)
         self.engine = AlertEngine(self.config.alerts)
@@ -173,26 +141,15 @@ class TelemetryService:
     def pump(self, max_records: Optional[int] = None) -> int:
         """Drain up to *max_records* into the store; returns the count.
 
-        Routes through the configured ingest engine; both engines leave
-        the store, watermark, and alert log byte-identical.
+        The drained records go through the columnar ``apply_batch``
+        path; the per-record ``ChainStateStore.apply`` leaves the store,
+        watermark and alert log byte-identical and is kept as the
+        reference (:class:`repro.bench.reference.ScalarTelemetryService`).
         """
         batch = self.queue.drain(max_records)
         if not batch:
             return 0
-        if self.ingest_engine == "batched":
-            self._apply_columns(RecordBatch.from_records(batch))
-            return len(batch)
-        else:
-            store = self.store
-            observe = self.engine.observe
-            watermark = self.watermark_ns
-            for record in batch:
-                outcome = store.apply(record)
-                if record.timestamp_ns > watermark:
-                    watermark = record.timestamp_ns
-                observe(outcome)
-            self.watermark_ns = watermark
-        self.applied_here += len(batch)
+        self._apply_columns(RecordBatch.from_records(batch))
         return len(batch)
 
     def poll(self, now_ns: Optional[int] = None) -> int:

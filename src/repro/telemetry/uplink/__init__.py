@@ -1,13 +1,18 @@
 """Durable store-and-forward telemetry uplink.
 
 Vehicle side: :class:`WalSpooler` (append-before-emit write-ahead log)
-drained by :class:`RetryingUplinkClient` (timeout, exponential backoff
-with deterministic jitter, circuit breaker) over an
-:class:`AdversarialChannel`.  Fleet side: :class:`UplinkIngestor`
+drained by :class:`WindowedUplinkClient` (pipelined sliding-window ARQ:
+cumulative + selective acks, fast retransmit, exponential backoff with
+deterministic jitter, circuit breaker) over an
+:class:`AdversarialChannel`.  The stop-and-wait
+:class:`RetryingUplinkClient` it replaced stays as the baseline of the
+``uplink_roundtrip`` bench floor and of the protocol-equivalence
+property tests; the adaptive control-plane sweep still drives it.  Fleet side: :class:`UplinkIngestor`
 (at-least-once in, exactly-once applied via :class:`DedupWatermark`,
 append-before-ack durability, checkpoint + WAL-replay recovery).
-:mod:`repro.telemetry.uplink.chaos` sweeps fault x crash schedules and
-asserts the ledger law ``offered == acked + spooled + evicted``.
+:mod:`repro.telemetry.uplink.chaos` sweeps fault x crash schedules
+over the windowed client and asserts the ledger law
+``offered == acked + spooled + evicted``.
 """
 
 from repro.telemetry.uplink.chaos import (

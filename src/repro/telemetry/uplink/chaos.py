@@ -42,10 +42,6 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.records import TelemetryRecord
 from repro.telemetry.service import ServiceConfig, TelemetryService
-from repro.telemetry.uplink.client import (
-    RetryingUplinkClient,
-    UplinkClientConfig,
-)
 from repro.telemetry.uplink.ingest import UplinkIngestor, store_digest
 from repro.telemetry.uplink.transport import (
     AdversarialChannel,
@@ -58,14 +54,12 @@ from repro.telemetry.uplink.window import (
     WindowedUplinkClient,
 )
 
-#: Uplink protocols the harness can drive.
-PROTOCOLS = ("windowed", "stop_and_wait")
-
 #: Cumulative per-scenario protocol counters the report may carry.
 #: ``load_report`` warns on anything else (additive evolution, same
 #: contract as the telemetry schema guards).
 KNOWN_PROTOCOL_COUNTERS = frozenset({
-    # stop-and-wait client
+    # stop-and-wait client (reports written before the driver became
+    # windowed-only)
     "batches_sent", "retries",
     # windowed client
     "frames_sent", "retransmits", "fast_retransmits", "dup_acks",
@@ -81,7 +75,6 @@ KNOWN_PROTOCOL_COUNTERS = frozenset({
 #: Client counters folded into the per-scenario protocol section
 #: (cumulative only -- gauges like ``in_flight`` stay out).
 _CLIENT_COUNTER_KEYS = frozenset({
-    "batches_sent", "retries",
     "frames_sent", "retransmits", "fast_retransmits", "dup_acks",
     "window_stalls", "probes", "floor_probes", "shed_records", "hellos",
     "rate_rejects", "hello_rejects",
@@ -109,10 +102,6 @@ class ChaosConfig:
     fsync: str = "never"
     segment_max_records: int = 32
     checkpoint_every: Optional[int] = 4
-    #: Which uplink client drives each vehicle: the pipelined windowed
-    #: ARQ (default) or the original stop-and-wait (kept as a
-    #: differential baseline).
-    protocol: str = "windowed"
     #: Fault cadence of the *emitted* stream (0: clean -- chaos usually
     #: injects its own faults in transport; gateway overload scenarios
     #: raise it to get an alert/telemetry/dashboard class mix).
@@ -127,10 +116,6 @@ class ChaosConfig:
             raise ValueError("emit_per_step must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(
-                f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"
-            )
 
     def fleet_config(self) -> FleetConfig:
         return FleetConfig(
@@ -144,13 +129,6 @@ class ChaosConfig:
             store=self.fleet_config().store_config(),
         )
 
-    def client_config(self) -> UplinkClientConfig:
-        return UplinkClientConfig(
-            batch_records=16, ack_timeout=6, backoff_base=2,
-            backoff_max=32, failure_threshold=4, cooldown=10,
-            seed=self.seed,
-        )
-
     def windowed_client_config(
         self, token: Optional[str] = None
     ) -> WindowedClientConfig:
@@ -160,13 +138,6 @@ class ChaosConfig:
             cooldown=10, dup_ack_threshold=3, seed=self.seed,
             token=token,
         )
-
-    def protocol_client_config(
-        self, token: Optional[str] = None
-    ) -> Union[UplinkClientConfig, WindowedClientConfig]:
-        if self.protocol == "windowed":
-            return self.windowed_client_config(token)
-        return self.client_config()
 
 
 @dataclass(frozen=True)
@@ -351,7 +322,7 @@ class _Vehicle:
         source: str,
         records: List[TelemetryRecord],
         wal_config: WalConfig,
-        client_config: Union[UplinkClientConfig, WindowedClientConfig],
+        client_config: WindowedClientConfig,
         send,
     ):
         self.source = source
@@ -377,13 +348,8 @@ class _Vehicle:
         self.client = self._make_client()
         self._wire()
 
-    def _make_client(self):
-        if isinstance(self.client_config, WindowedClientConfig):
-            return WindowedUplinkClient(
-                self.spooler, self._send, self.client_config,
-                life=self.lives,
-            )
-        return RetryingUplinkClient(
+    def _make_client(self) -> WindowedUplinkClient:
+        return WindowedUplinkClient(
             self.spooler, self._send, self.client_config, life=self.lives
         )
 
@@ -394,10 +360,9 @@ class _Vehicle:
         self.client.on_acked = lambda released: self.acked.update(
             record.seq for record in released
         )
-        if hasattr(self.client, "on_shed"):
-            self.client.on_shed = lambda released: self.shed.update(
-                record.seq for record in released
-            )
+        self.client.on_shed = lambda released: self.shed.update(
+            record.seq for record in released
+        )
 
     def fold_proto(self) -> None:
         """Fold this client life's cumulative counters into the
@@ -539,7 +504,7 @@ class ChaosDriver:
     # ------------------------------------------------------------------
     def _vehicle_client_config(self, source: str):
         """Per-vehicle client config (gateway driver injects tokens)."""
-        return self.config.protocol_client_config()
+        return self.config.windowed_client_config()
 
     def _make_send(self, source: str):
         return lambda payload, now: self.up.send(
@@ -757,7 +722,6 @@ def run_chaos(
             "frames": config.frames,
             "seed": config.seed,
             "fsync": config.fsync,
-            "protocol": config.protocol,
         },
         "ok": all(r.ok for r in results),
         "scenarios": [r.to_json() for r in results],
@@ -810,17 +774,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="PATH", help="work under PATH (kept)")
     parser.add_argument("--fsync", choices=("always", "rotate", "never"),
                         default="never")
-    parser.add_argument("--protocol", choices=PROTOCOLS,
-                        default="windowed",
-                        help="uplink client protocol (default: windowed)")
     args = parser.parse_args(argv)
 
-    scenarios = default_scenarios()
-    if args.protocol == "windowed":
-        # Gateway scenarios need the windowed client (frames + sessions).
-        from repro.telemetry.gateway.chaos import gateway_scenarios
+    from repro.telemetry.gateway.chaos import gateway_scenarios
 
-        scenarios = scenarios + gateway_scenarios()
+    scenarios = default_scenarios() + gateway_scenarios()
     if args.list:
         for scenario in scenarios:
             print(f"{scenario.name:<14s} {scenario.description}")
@@ -837,7 +795,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         frames=args.frames or (16 if args.quick else 40),
         seed=args.seed,
         fsync=args.fsync,
-        protocol=args.protocol,
     )
     report = run_chaos(config, scenarios, workdir=args.dir)
     for entry in report["scenarios"]:

@@ -1,13 +1,17 @@
-"""Differential fixture layer: run one scenario under every engine.
+"""Differential fixture layer: byte-level comparison and artifact pins.
 
-The batched/columnar rework (calendar queue in the simulator kernel,
-struct-of-arrays ingest in the telemetry store) is sold on a single
+The batched/columnar hot paths (calendar queue in the simulator kernel,
+struct-of-arrays ingest in the telemetry store) are sold on a single
 claim: *the fast path is observationally identical to the reference
-path*.  This module is the machinery that proves it.  It pins the
-engine feature flags (``REPRO_SIM_ENGINE`` / ``REPRO_TELEMETRY_ENGINE``)
-around a scenario callable, collects one result per engine, and
-asserts byte-identical canonical JSON across the set -- so a test body
-only has to say *what* to run, never *how* to flip engines.
+path* (:mod:`repro.bench.reference`).  This module is the machinery
+that proves it, two ways:
+
+- :func:`assert_identical` compares results produced by different
+  implementations as canonical JSON, byte for byte;
+- :func:`compute_pins` digests every observable artifact that has no
+  golden file of its own; ``tests/golden/artifact_pins.json`` freezes
+  those digests, so any change to the production path that alters an
+  artifact fails its pin.
 
 Canonicalization matters: "the dicts compare equal" is a weaker claim
 than the suite makes.  Every payload is serialized with sorted keys and
@@ -18,48 +22,13 @@ ten-kilobyte blobs.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
-
-#: Simulator event-queue engines (see ``repro.sim.kernel``).
-SIM_ENGINES: Tuple[str, ...] = ("calendar", "heap")
-#: Telemetry ingest engines (see ``repro.telemetry.service``).
-TELEMETRY_ENGINES: Tuple[str, ...] = ("batched", "scalar")
-
-SIM_ENV = "REPRO_SIM_ENGINE"
-TELEMETRY_ENV = "REPRO_TELEMETRY_ENGINE"
-
-
-@contextlib.contextmanager
-def engine_env(
-    sim: Optional[str] = None, telemetry: Optional[str] = None
-) -> Iterator[None]:
-    """Pin the engine env vars for the duration of the block.
-
-    ``None`` leaves a variable untouched; previous values (including
-    absence) are restored on exit even when the body raises.
-    """
-    saved: Dict[str, Optional[str]] = {}
-    try:
-        for var, value in ((SIM_ENV, sim), (TELEMETRY_ENV, telemetry)):
-            if value is None:
-                continue
-            saved[var] = os.environ.get(var)
-            os.environ[var] = value
-        yield
-    finally:
-        for var, previous in saved.items():
-            if previous is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = previous
+from typing import Any, Dict, Optional
 
 
 def canonical(payload: Any) -> str:
@@ -73,46 +42,24 @@ def canonical(payload: Any) -> str:
     )
 
 
-def run_under_sim_engines(
-    fn: Callable[[], Any], engines: Tuple[str, ...] = SIM_ENGINES
-) -> Dict[str, Any]:
-    """Run *fn* once per simulator engine; returns ``{engine: result}``."""
-    results = {}
-    for engine in engines:
-        with engine_env(sim=engine):
-            results[engine] = fn()
-    return results
-
-
-def run_under_telemetry_engines(
-    fn: Callable[[], Any], engines: Tuple[str, ...] = TELEMETRY_ENGINES
-) -> Dict[str, Any]:
-    """Run *fn* once per telemetry engine; returns ``{engine: result}``."""
-    results = {}
-    for engine in engines:
-        with engine_env(telemetry=engine):
-            results[engine] = fn()
-    return results
-
-
 def assert_identical(results: Dict[str, Any], context: str = "") -> str:
-    """Assert every engine produced byte-identical canonical JSON.
+    """Assert every implementation produced byte-identical canonical JSON.
 
-    Returns the (shared) canonical form so callers can pin it against
-    goldens too.  On mismatch the error names the engine pair and the
-    first line where the serializations diverge.
+    *results* maps an implementation name to its result.  Returns the
+    (shared) canonical form.  On mismatch the error names the pair and
+    the first character where the serializations diverge.
     """
-    assert len(results) >= 2, "need at least two engines to differ"
+    assert len(results) >= 2, "need at least two implementations to differ"
     items = sorted(results.items())
-    ref_engine, ref_payload = items[0]
+    ref_name, ref_payload = items[0]
     ref = canonical(ref_payload)
-    for engine, payload in items[1:]:
+    for name, payload in items[1:]:
         got = canonical(payload)
         if got != ref:
             where = _first_divergence(ref, got)
             raise AssertionError(
-                f"{context or 'payload'}: engine {engine!r} diverges from "
-                f"{ref_engine!r} at {where}"
+                f"{context or 'payload'}: {name!r} diverges from "
+                f"{ref_name!r} at {where}"
             )
     return ref
 
@@ -188,14 +135,16 @@ def adapt_report(name: str) -> list:
     return report["scenarios"]
 
 
-def chain_report_stream(case: str) -> dict:
-    """ChainReport, latencies and exceptions of one pipeline run."""
+def chain_report_stream(case: str, sim_cls: Optional[type] = None) -> dict:
+    """ChainReport, latencies and exceptions of one pipeline run
+    (*sim_cls*: the kernel class hosting it, default ``Simulator``)."""
     from _harness import PipelineWorld
-    from repro.sim import msec
+    from repro.sim import Simulator, msec
 
     worker_ms, frames = CHAIN_REPORT_CASES[case]
     world = PipelineWorld(
-        worker_time=lambda i: msec(worker_ms), d_mon=msec(20)
+        worker_time=lambda i: msec(worker_ms), d_mon=msec(20),
+        sim_cls=sim_cls or Simulator,
     )
     world.publish_frames(frames)
     world.run(until=msec(200 * frames))
@@ -207,18 +156,14 @@ def chain_report_stream(case: str) -> dict:
     }
 
 
-def compute_pins(run: Callable[[Callable[[], Any], str], Any]) -> dict:
-    """Every pinned artifact's digest; *run(fn, context)* produces one
-    artifact (the hook lets the regenerator cross-check engines)."""
+def compute_pins() -> dict:
+    """Every pinned artifact's digest (the pins file's content)."""
     from repro.faults import CampaignConfig, run_default_campaign
     from repro.telemetry.gateway import gateway_scenarios
 
-    campaign = run(
-        lambda: campaign_payloads(run_default_campaign(
-            CampaignConfig(n_frames=CAMPAIGN_PIN_FRAMES)
-        )),
-        "campaign",
-    )
+    campaign = campaign_payloads(run_default_campaign(
+        CampaignConfig(n_frames=CAMPAIGN_PIN_FRAMES)
+    ))
     vehicles, frames, seed = GATEWAY_PIN_SHAPE
     return {
         "schema": PINS_SCHEMA,
@@ -232,44 +177,29 @@ def compute_pins(run: Callable[[Callable[[], Any], str], Any]) -> dict:
         "gateway_chaos": {
             "vehicles": vehicles, "frames": frames, "seed": seed,
             "scenarios": {
-                s.name: sha256_canonical(run(
-                    lambda: gateway_report(s.name), f"gateway:{s.name}"
-                ))
+                s.name: sha256_canonical(gateway_report(s.name))
                 for s in gateway_scenarios()
             },
         },
         "adaptive_chaos": {
             "frames": ADAPT_PIN_FRAMES,
             "scenarios": {
-                name: sha256_canonical(run(
-                    lambda: adapt_report(name), f"adapt:{name}"
-                ))
+                name: sha256_canonical(adapt_report(name))
                 for name in ADAPT_PIN_SCENARIOS
             },
         },
         "chain_report": {
-            case: sha256_canonical(run(
-                lambda: chain_report_stream(case), f"chain_report:{case}"
-            ))
+            case: sha256_canonical(chain_report_stream(case))
             for case in CHAIN_REPORT_CASES
         },
     }
-
-
-def _run_under_engine_pairs(fn: Callable[[], Any], context: str) -> Any:
-    """Produce an artifact under both engine corners; they must agree."""
-    results = {}
-    for sim, telemetry in (("calendar", "batched"), ("heap", "scalar")):
-        with engine_env(sim=sim, telemetry=telemetry):
-            results[f"{sim}+{telemetry}"] = fn()
-    assert_identical(results, context=context)
-    return results["calendar+batched"]
 
 
 if __name__ == "__main__":
     if "--regen" not in sys.argv:
         sys.exit("usage: PYTHONPATH=src python tests/_differential.py --regen")
     sys.path.insert(0, str(Path(__file__).parent))
-    pins = compute_pins(_run_under_engine_pairs)
-    PINS_FILE.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    PINS_FILE.write_text(
+        json.dumps(compute_pins(), indent=2, sort_keys=True) + "\n"
+    )
     print(f"wrote {PINS_FILE}")

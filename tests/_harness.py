@@ -59,8 +59,9 @@ class PipelineWorld:
         worker_time: Callable[[int], int] = lambda i: msec(5),
         handler=None,
         mk: MKConstraint = MKConstraint(1, 5),
+        sim_cls: type = Simulator,
     ):
-        self.sim = Simulator(seed=seed)
+        self.sim = sim_cls(seed=seed)
         self.ecu = Ecu(self.sim, "ecu1", n_cores=n_cores)
         self.domain = DdsDomain(self.sim, local_latency=usec(20))
         self.period = period

@@ -1,22 +1,25 @@
-"""The differential suite: fast engines vs reference engines, byte for byte.
+"""The differential suite: fast paths vs references, byte for byte.
 
-Every observable artifact the repo pins -- golden-trace fingerprints,
-fault-campaign scenario payloads, DAG campaign digests, gateway/adaptive
-chaos reports, telemetry store digests and alert logs -- is produced
-twice: once under the fast engines (``calendar`` simulator queue,
-``batched`` columnar telemetry ingest) and once under the reference
-engines (``heap``, ``scalar``).  The canonical JSON serializations must
-match byte for byte; see ``tests/_differential.py`` for the fixture
-layer.
+Production runs one path per concern: the calendar-queue kernel and the
+columnar telemetry ingest.  Their references live in
+:mod:`repro.bench.reference` and are compared here:
 
-The expensive matrices (11 fault scenarios, 9 DAG scenarios) run once
-per engine as module-scoped fixtures and are compared per scenario, so
-a divergence names the exact scenario rather than "the campaign".
+- golden-trace stacks and ``ChainReport`` streams run on the production
+  kernel and on :class:`HeapSimulator` -- fingerprints and reports must
+  match byte for byte;
+- the fleet record stream goes through the reference per-record pump
+  (:class:`ScalarTelemetryService`), the production pump and the native
+  columnar ``ingest_batch`` -- store digest, alert log and conservation
+  counters must match byte for byte;
+- gateway and adaptive chaos reports and ``ChainReport`` streams are
+  pinned by sha256 in ``tests/golden/artifact_pins.json`` (the pins were
+  produced under both the fast and the reference engines, which agreed).
+
+The other pinned artifacts are checked where they are produced:
+golden-trace fingerprints (``test_golden_traces.py``), fault-campaign
+payloads (``test_fault_campaign.py``) and DAG digests
+(``test_dag_campaign.py``).
 """
-
-import dataclasses
-import tempfile
-from pathlib import Path
 
 import pytest
 
@@ -25,209 +28,83 @@ from _differential import (
     ADAPT_PIN_SCENARIOS,
     CHAIN_REPORT_CASES,
     GATEWAY_PIN_SHAPE,
-    SIM_ENGINES,
-    TELEMETRY_ENGINES,
     adapt_report,
     assert_identical,
     chain_report_stream,
-    engine_env,
     gateway_report,
     load_pins,
-    run_under_sim_engines,
-    run_under_telemetry_engines,
     sha256_canonical,
 )
 
-from repro.adaptive.chaos import (
-    AdaptConfig,
-    default_scenarios as adapt_scenarios,
-    run_adapt,
-)
-from repro.faults.campaign import (
-    CampaignConfig,
-    FaultCampaign,
-    default_scenarios as fault_scenarios,
-)
-from repro.faults.dag_scenarios import (
-    DagCampaign,
-    DagCampaignConfig,
-    default_dag_scenarios,
-)
-from repro.sim import Simulator
+import repro.perception.stack
+from repro.bench.reference import HeapSimulator, ScalarTelemetryService
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway import gateway_scenarios
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
 from repro.telemetry.service import ServiceConfig, TelemetryService
-from repro.telemetry.uplink.chaos import ChaosConfig
 from repro.telemetry.uplink.ingest import store_digest
 from repro.tracing.golden import GOLDEN_FRAMES, golden_scenarios, stack_fingerprint
 
-#: Whole module re-runs stacks and campaigns under multiple engines.
+#: Whole module re-runs stacks and chaos sweeps.
 pytestmark = pytest.mark.slow
-
-#: The two corners of the engine matrix: everything-fast vs
-#: everything-reference.  Identity across the corners proves both
-#: feature flags jointly inert; the per-flag suites below isolate each.
-ENGINE_PAIRS = (
-    {"sim": "calendar", "telemetry": "batched"},
-    {"sim": "heap", "telemetry": "scalar"},
-)
-
-CAMPAIGN_FRAMES = 24
-GATEWAY_QUICK = ChaosConfig(vehicles=3, frames=10, seed=2025)
-ADAPT_QUICK = AdaptConfig(frames=96)
-
-
-def run_under_engine_pairs(fn):
-    """Run *fn* under both corners of the engine matrix."""
-    results = {}
-    for pair in ENGINE_PAIRS:
-        with engine_env(**pair):
-            results[f"{pair['sim']}+{pair['telemetry']}"] = fn()
-    return results
-
-
-class TestFlagPlumbing:
-    """The env flags really do select different engines (otherwise the
-    whole suite would vacuously compare an engine against itself)."""
-
-    def test_sim_engine_env_selects_queue(self):
-        engines = set()
-        for engine in SIM_ENGINES:
-            with engine_env(sim=engine):
-                engines.add(Simulator(seed=1).engine)
-        assert engines == set(SIM_ENGINES)
-
-    def test_telemetry_engine_env_selects_ingest(self):
-        engines = set()
-        for engine in TELEMETRY_ENGINES:
-            with engine_env(telemetry=engine):
-                engines.add(TelemetryService().ingest_engine)
-        assert engines == set(TELEMETRY_ENGINES)
 
 
 # ----------------------------------------------------------------------
-# Golden traces (simulator engine)
+# Golden traces: production kernel vs heap reference
 # ----------------------------------------------------------------------
 class TestGoldenTraces:
     @pytest.mark.parametrize("name", sorted(golden_scenarios()))
-    def test_fingerprint_identical_across_sim_engines(self, name):
+    def test_fingerprint_identical_across_sim_engines(self, name, monkeypatch):
         def run():
             stack = golden_scenarios()[name]()
             stack.run(n_frames=GOLDEN_FRAMES)
-            return stack_fingerprint(stack)
+            return stack, stack_fingerprint(stack)
 
-        assert_identical(run_under_sim_engines(run), context=f"golden:{name}")
-
-
-# ----------------------------------------------------------------------
-# Fault campaign: all 11 scenarios (both flags at once)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def campaign_by_engine():
-    def run():
-        result = FaultCampaign(
-            config=CampaignConfig(n_frames=CAMPAIGN_FRAMES)
-        ).run()
-        return {
-            s.name: dataclasses.asdict(s) for s in result.scenarios
-        }
-
-    return run_under_engine_pairs(run)
-
-
-class TestFaultCampaign:
-    def test_matrix_is_complete(self, campaign_by_engine):
-        expected = {s.name for s in fault_scenarios()}
-        assert len(expected) == 11
-        for engine, by_name in campaign_by_engine.items():
-            assert set(by_name) == expected, engine
-
-    @pytest.mark.parametrize("name", [s.name for s in fault_scenarios()])
-    def test_scenario_payload_identical(self, campaign_by_engine, name):
+        _, calendar = run()
+        monkeypatch.setattr(repro.perception.stack, "Simulator", HeapSimulator)
+        stack, heap = run()
+        assert isinstance(stack.sim, HeapSimulator)
         assert_identical(
-            {e: r[name] for e, r in campaign_by_engine.items()},
-            context=f"campaign:{name}",
+            {"calendar": calendar, "heap": heap}, context=f"golden:{name}"
         )
 
 
 # ----------------------------------------------------------------------
-# DAG campaign: all 9 scenarios (simulator engine)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def dag_by_engine():
-    def run():
-        result = DagCampaign(
-            config=DagCampaignConfig(n_frames=CAMPAIGN_FRAMES)
-        ).run()
-        return {
-            s.name: {"digest": s.digest(), "payload": s.digest_payload()}
-            for s in result.scenarios
-        }
-
-    return run_under_sim_engines(run)
-
-
-class TestDagCampaign:
-    def test_matrix_is_complete(self, dag_by_engine):
-        expected = {s.name for s in default_dag_scenarios()}
-        assert len(expected) == 9
-        for engine, by_name in dag_by_engine.items():
-            assert set(by_name) == expected, engine
-
-    @pytest.mark.parametrize(
-        "name", [s.name for s in default_dag_scenarios()]
-    )
-    def test_scenario_digest_identical(self, dag_by_engine, name):
-        assert_identical(
-            {e: r[name] for e, r in dag_by_engine.items()},
-            context=f"dag:{name}",
-        )
-
-
-# ----------------------------------------------------------------------
-# Gateway chaos (both flags: drivers run a Simulator feeding a
-# TelemetryService through the uplink)
+# Gateway and adaptive chaos reports (pinned)
 # ----------------------------------------------------------------------
 class TestGatewayChaos:
     @pytest.mark.parametrize("name", [s.name for s in gateway_scenarios()])
-    def test_report_identical_across_engines(self, name):
-        def run():
-            scenario = {s.name: s for s in gateway_scenarios()}[name]
-            with tempfile.TemporaryDirectory() as tmp:
-                return scenario.make_driver(GATEWAY_QUICK, Path(tmp)).run().to_json()
-
-        assert_identical(run_under_engine_pairs(run), context=f"gateway:{name}")
-
-
-# ----------------------------------------------------------------------
-# Adaptive chaos (telemetry engine: the control plane embeds a
-# TelemetryService; the sweep never touches the simulator)
-# ----------------------------------------------------------------------
-class TestAdaptiveChaos:
-    @pytest.mark.parametrize("name", ["adapt_baseline", "canary_rollback"])
-    def test_report_identical_across_telemetry_engines(self, name):
-        by_name = {s.name: s for s in adapt_scenarios()}
-
-        def run():
-            report = run_adapt(ADAPT_QUICK, [by_name[name]])
-            return report["scenarios"]
-
-        assert_identical(
-            run_under_telemetry_engines(run), context=f"adapt:{name}"
+    def test_report_matches_pin(self, name):
+        pins = load_pins()["gateway_chaos"]
+        assert (pins["vehicles"], pins["frames"], pins["seed"]) == (
+            GATEWAY_PIN_SHAPE
         )
+        assert sha256_canonical(gateway_report(name)) == (
+            pins["scenarios"][name]
+        ), f"gateway:{name} diverged from its pin"
+
+
+class TestAdaptiveChaos:
+    @pytest.mark.parametrize("name", ADAPT_PIN_SCENARIOS)
+    def test_report_matches_pin(self, name):
+        pins = load_pins()["adaptive_chaos"]
+        assert pins["frames"] == ADAPT_PIN_FRAMES
+        assert sha256_canonical(adapt_report(name)) == (
+            pins["scenarios"][name]
+        ), f"adapt:{name} diverged from its pin"
 
 
 # ----------------------------------------------------------------------
-# Telemetry fleet stream: scalar pump vs batched pump vs columnar batch
+# Telemetry fleet stream: scalar pump vs columnar pump vs columnar batch
 # ----------------------------------------------------------------------
 class TestTelemetryFleetStream:
     """One fleet record stream through every ingest path.
 
-    Three runs must converge: per-record ingest drained by the scalar
-    engine, per-record ingest drained by the batched engine, and the
-    native columnar ``ingest_batch`` fast path.  Store digest, alert
-    log, and the conservation counters are all compared.
+    Three runs must converge: per-record ingest drained by the
+    reference scalar pump, per-record ingest drained by the production
+    columnar pump, and the native columnar ``ingest_batch`` fast path.
+    Store digest, alert log, and the conservation counters are all
+    compared.
     """
 
     FLEET = FleetConfig(vehicles=4, frames=60)
@@ -246,12 +123,8 @@ class TestTelemetryFleetStream:
             "accounting_ok": stats["accounting_ok"],
         }
 
-    def _service(self, engine=None):
-        return TelemetryService(
-            ServiceConfig(
-                store=self.FLEET.store_config(), engine=engine
-            )
-        )
+    def _config(self):
+        return ServiceConfig(store=self.FLEET.store_config())
 
     def _records(self):
         return FleetLoadGenerator(self.FLEET).materialize()
@@ -259,23 +132,25 @@ class TestTelemetryFleetStream:
     def test_pump_engines_identical(self):
         records = self._records()
 
-        def run_with(engine):
-            service = self._service(engine)
+        def run_with(service):
             service.ingest_many(records)
             return self._observables(service)
 
         assert_identical(
-            {engine: run_with(engine) for engine in TELEMETRY_ENGINES},
+            {
+                "scalar": run_with(ScalarTelemetryService(self._config())),
+                "columnar": run_with(TelemetryService(self._config())),
+            },
             context="fleet:pump",
         )
 
     def test_columnar_batch_matches_scalar_reference(self):
         records = self._records()
 
-        scalar = self._service("scalar")
+        scalar = ScalarTelemetryService(self._config())
         scalar.ingest_many(records)
 
-        columnar = self._service("batched")
+        columnar = TelemetryService(self._config())
         accepted = columnar.ingest_batch(RecordBatch.from_records(records))
         assert accepted == len(records)
 
@@ -287,80 +162,19 @@ class TestTelemetryFleetStream:
             context="fleet:columnar",
         )
 
-    def test_engine_resolution_from_env(self):
-        records = self._records()
-
-        def run():
-            service = self._service()  # engine=None -> env
-            service.ingest_many(records)
-            return self._observables(service)
-
-        assert_identical(run_under_telemetry_engines(run), context="fleet:env")
-
 
 # ----------------------------------------------------------------------
-# ChainReport stream (simulator engine, monitor timeout queue included)
+# ChainReport stream: production kernel vs heap reference (and pinned)
 # ----------------------------------------------------------------------
 class TestChainReportStream:
-    @pytest.mark.parametrize(
-        "worker_ms, frames",
-        [(5, 12), (50, 8)],  # all-OK vs deadline-miss heavy
-        ids=["on_time", "late"],
-    )
-    def test_reports_identical_across_sim_engines(self, worker_ms, frames):
-        from _harness import PipelineWorld
-        from repro.sim import msec
-
-        def run():
-            world = PipelineWorld(
-                worker_time=lambda i: msec(worker_ms), d_mon=msec(20)
-            )
-            world.publish_frames(frames)
-            world.run(until=msec(200 * frames))
-            report = world.chain_runtime.finalize()
-            return {
-                "engine": world.sim.engine,
-                "report": dataclasses.asdict(report),
-                "latencies": world.runtime.latencies,
-                "exceptions": world.runtime.exceptions,
-            }
-
-        results = run_under_sim_engines(run)
-        # The engine field is the flag itself -- normalize it out after
-        # checking the plumbing took effect.
-        engines = {r.pop("engine") for r in results.values()}
-        assert engines == set(SIM_ENGINES)
-        assert_identical(results, context=f"chain_report:{worker_ms}ms")
-
-
-# ----------------------------------------------------------------------
-# Byte-level pins (tests/golden/artifact_pins.json)
-# ----------------------------------------------------------------------
-class TestPinnedArtifacts:
-    """Gateway/adaptive chaos reports and ChainReport streams are
-    frozen byte for byte (the fault campaign's payload pins live with
-    its module fixture in ``test_fault_campaign.py``)."""
-
-    @pytest.mark.parametrize("name", [s.name for s in gateway_scenarios()])
-    def test_gateway_report_matches_pin(self, name):
-        pins = load_pins()["gateway_chaos"]
-        assert (pins["vehicles"], pins["frames"], pins["seed"]) == (
-            GATEWAY_PIN_SHAPE
-        )
-        assert sha256_canonical(gateway_report(name)) == (
-            pins["scenarios"][name]
-        ), f"gateway:{name} diverged from its pin"
-
-    @pytest.mark.parametrize("name", ADAPT_PIN_SCENARIOS)
-    def test_adapt_report_matches_pin(self, name):
-        pins = load_pins()["adaptive_chaos"]
-        assert pins["frames"] == ADAPT_PIN_FRAMES
-        assert sha256_canonical(adapt_report(name)) == (
-            pins["scenarios"][name]
-        ), f"adapt:{name} diverged from its pin"
-
     @pytest.mark.parametrize("case", sorted(CHAIN_REPORT_CASES))
-    def test_chain_report_matches_pin(self, case):
-        assert sha256_canonical(chain_report_stream(case)) == (
+    def test_reports_identical_across_sim_engines(self, case):
+        calendar = chain_report_stream(case)
+        heap = chain_report_stream(case, sim_cls=HeapSimulator)
+        assert_identical(
+            {"calendar": calendar, "heap": heap},
+            context=f"chain_report:{case}",
+        )
+        assert sha256_canonical(calendar) == (
             load_pins()["chain_report"][case]
         ), f"chain_report:{case} diverged from its pin"

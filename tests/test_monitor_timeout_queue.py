@@ -7,16 +7,15 @@ and paid O(log N) per lazy pop.  Now `_complete` / `_raise_exception` /
 re-arm all cancel the entry's :class:`~repro.sim.calendar.CancelToken`
 eagerly, and the queue compacts once enough entries die, so physical
 size stays bounded by the compaction threshold regardless of how many
-cycles ran.  This module pins that bound under both kernel engines.
+cycles ran.  This module pins that bound.
 """
 
 import pytest
 
-from _differential import engine_env
 from _harness import PipelineWorld
 
 from repro.sim import msec
-from repro.sim.calendar import CalendarQueue, EagerHeapQueue, _MIN_COMPACT
+from repro.sim.calendar import _MIN_COMPACT
 
 #: Physical-size ceiling: live entries plus at most one compaction
 #: window of dead ones (the threshold is ``max(_MIN_COMPACT, live)``
@@ -37,25 +36,15 @@ def _run_world(frames=N_FRAMES):
 
 class TestTimeoutQueueBound:
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["calendar", "heap"])
-    def test_size_bounded_after_many_cancel_cycles(self, engine):
-        with engine_env(sim=engine):
-            world = _run_world()
+    def test_size_bounded_after_many_cancel_cycles(self):
+        world = _run_world()
         queue = world.monitor._timeout_queue
         assert world.runtime.pending == {}, "all segments should complete"
         assert len(queue) <= SIZE_BOUND, (
-            f"{engine}: {len(queue)} resident entries after "
+            f"{len(queue)} resident entries after "
             f"{N_FRAMES} cycles -- stale timeouts are leaking again"
         )
         assert queue.live == 0
-
-    def test_engine_selects_queue_class(self):
-        with engine_env(sim="calendar"):
-            world = PipelineWorld()
-            assert isinstance(world.monitor._timeout_queue, CalendarQueue)
-        with engine_env(sim="heap"):
-            world = PipelineWorld()
-            assert isinstance(world.monitor._timeout_queue, EagerHeapQueue)
 
 
 class TestEagerCancelHooks:

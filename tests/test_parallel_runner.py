@@ -6,8 +6,15 @@ comparing merged parallel output against a serial run of the same
 shards.  Kept small: few scenarios, few frames.
 """
 
+import json
+
 import pytest
 
+from repro.adaptive.chaos import (
+    AdaptConfig,
+    default_scenarios as adapt_scenarios,
+    run_adapt,
+)
 from repro.experiments.parallel import (
     run_campaign_parallel,
     run_experiments_parallel,
@@ -77,3 +84,15 @@ class TestExperimentsParallel:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError, match="nope"):
             run_experiments_parallel(["nope"], jobs=2)
+
+
+class TestAdaptParallel:
+    def test_jobs_match_serial_bytewise(self):
+        registry = {s.name: s for s in adapt_scenarios()}
+        scenarios = [registry["adapt_baseline"], registry["shadow_reject"]]
+        config = AdaptConfig(frames=96)
+        serial = run_adapt(config, scenarios)
+        parallel = run_adapt(config, scenarios, jobs=2)
+        assert json.dumps(parallel, sort_keys=True) == json.dumps(
+            serial, sort_keys=True
+        )

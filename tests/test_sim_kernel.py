@@ -1,7 +1,10 @@
 """Unit tests for the simulation kernel (event queue, time, RNG streams)."""
 
+import random
+
 import pytest
 
+from repro.bench.reference import HeapSimulator
 from repro.sim import Simulator, msec, nsec, sec, usec
 from repro.sim.kernel import SimulationError, fmt_time
 
@@ -158,3 +161,74 @@ class TestTraceHooks:
         sim.schedule_at(msec(2), lambda: sim.emit_trace("tick", value=7))
         sim.run()
         assert seen == [("tick", msec(2), {"value": 7})]
+
+
+def _twin_script(sim_cls):
+    """Schedule/cancel/reschedule/``run(until=)`` workload; returns
+    every firing as ``(tag, now)`` plus ``(now, pending)`` checkpoints.
+
+    Times sit on a 250 us grid spanning dozens of calendar buckets, so
+    many events share an instant (ordered by priority, then insertion)
+    and ``run(until=)`` stops exactly on occupied instants.  Callbacks
+    chain ``schedule_after`` / ``call_now`` follow-ups into the bucket
+    being drained.  Every draw comes from one seeded stream, so
+    identical firing order means identical scripts.
+    """
+    sim = sim_cls(seed=3)
+    rng = random.Random(11)
+    fired = []
+    handles = []
+
+    def grid(n):
+        return rng.randrange(n) * usec(250)
+
+    def fire(tag):
+        fired.append((tag, sim.now))
+        if tag < 1000 and tag % 4 == 0:
+            handles.append(sim.schedule_after(
+                grid(12), fire, tag + 1000,
+                priority=rng.randrange(3),
+            ))
+        if tag < 1000 and tag % 9 == 0:
+            sim.call_now(fire, tag + 2000)
+
+    for tag in range(300):
+        handles.append(sim.schedule_at(
+            grid(160), fire, tag, priority=rng.randrange(3)
+        ))
+    checkpoints = []
+    for until in (msec(5), msec(5), msec(12), msec(30)):
+        for _ in range(25):
+            i = rng.randrange(len(handles))
+            if rng.random() < 0.4:
+                handles[i].cancel()
+            else:
+                # Use the returned handle: the heap reference hands back
+                # a fresh one, the calendar kernel the same one.
+                handles[i] = sim.reschedule(
+                    handles[i], sim.now + grid(80),
+                    priority=rng.randrange(3),
+                )
+        sim.run(until=until)
+        checkpoints.append((sim.now, sim.pending_events))
+    assert sim.step()
+    checkpoints.append((sim.now, sim.pending_events))
+    sim.run()
+    checkpoints.append((sim.now, sim.pending_events))
+    return fired, checkpoints
+
+
+class TestHeapReferenceTwin:
+    """The heap kernel behind the ``*_heap`` bench floors fires the same
+    events at the same instants as the production calendar kernel."""
+
+    def test_same_firing_order_and_clock(self):
+        fired, checkpoints = _twin_script(Simulator)
+        assert (fired, checkpoints) == _twin_script(HeapSimulator)
+        # The script really exercised cancellation, rearming of fired
+        # handles and same-instant ties.
+        tags = [tag for tag, _ in fired]
+        assert set(range(300)) - set(tags), "no cancellation took effect"
+        assert len(set(tags)) < len(tags), "no handle fired twice"
+        assert any(a[1] == b[1] for a, b in zip(fired, fired[1:]))
+        assert checkpoints[-1][1] == 0
