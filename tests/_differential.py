@@ -98,6 +98,9 @@ GATEWAY_PIN_SHAPE = (3, 10, 2025)
 #: Adaptive chaos frame count and the scenarios pinned.
 ADAPT_PIN_FRAMES = 96
 ADAPT_PIN_SCENARIOS = ("adapt_baseline", "canary_rollback")
+#: DAG campaign frame count (shorter than ``test_dag_campaign.py``'s
+#: golden run, so the pin covers a second, independent horizon).
+DAG_PIN_FRAMES = 24
 #: ChainReport stream cases: name -> (worker ms, frames); all-OK vs
 #: deadline-miss heavy.
 CHAIN_REPORT_CASES = {"on_time": (5, 12), "late": (50, 8)}
@@ -133,6 +136,19 @@ def adapt_report(name: str) -> list:
     scenario = {s.name: s for s in default_scenarios()}[name]
     report = run_adapt(AdaptConfig(frames=ADAPT_PIN_FRAMES), [scenario])
     return report["scenarios"]
+
+
+def dag_digests() -> Dict[str, dict]:
+    """Per-scenario digest and digest payload of the DAG campaign."""
+    from repro.faults import DagCampaign, DagCampaignConfig
+
+    result = DagCampaign(
+        config=DagCampaignConfig(n_frames=DAG_PIN_FRAMES)
+    ).run()
+    return {
+        s.name: {"digest": s.digest(), "payload": s.digest_payload()}
+        for s in result.scenarios
+    }
 
 
 def chain_report_stream(case: str, sim_cls: Optional[type] = None) -> dict:
@@ -191,6 +207,13 @@ def compute_pins() -> dict:
         "chain_report": {
             case: sha256_canonical(chain_report_stream(case))
             for case in CHAIN_REPORT_CASES
+        },
+        "dag_campaign": {
+            "n_frames": DAG_PIN_FRAMES,
+            "scenarios": {
+                name: sha256_canonical(entry)
+                for name, entry in dag_digests().items()
+            },
         },
     }
 

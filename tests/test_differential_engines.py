@@ -11,14 +11,15 @@ columnar telemetry ingest.  Their references live in
   (:class:`ScalarTelemetryService`), the production pump and the native
   columnar ``ingest_batch`` -- store digest, alert log and conservation
   counters must match byte for byte;
-- gateway and adaptive chaos reports and ``ChainReport`` streams are
-  pinned by sha256 in ``tests/golden/artifact_pins.json`` (the pins were
-  produced under both the fast and the reference engines, which agreed).
+- gateway and adaptive chaos reports, ``ChainReport`` streams and the
+  24-frame DAG campaign digests are pinned by sha256 in
+  ``tests/golden/artifact_pins.json`` (the pins were produced under both
+  the fast and the reference engines, which agreed).
 
 The other pinned artifacts are checked where they are produced:
 golden-trace fingerprints (``test_golden_traces.py``), fault-campaign
-payloads (``test_fault_campaign.py``) and DAG digests
-(``test_dag_campaign.py``).
+payloads (``test_fault_campaign.py``) and the golden-horizon DAG
+digests (``test_dag_campaign.py``).
 """
 
 import pytest
@@ -27,10 +28,12 @@ from _differential import (
     ADAPT_PIN_FRAMES,
     ADAPT_PIN_SCENARIOS,
     CHAIN_REPORT_CASES,
+    DAG_PIN_FRAMES,
     GATEWAY_PIN_SHAPE,
     adapt_report,
     assert_identical,
     chain_report_stream,
+    dag_digests,
     gateway_report,
     load_pins,
     sha256_canonical,
@@ -38,6 +41,7 @@ from _differential import (
 
 import repro.perception.stack
 from repro.bench.reference import HeapSimulator, ScalarTelemetryService
+from repro.faults import default_dag_scenarios
 from repro.telemetry.batch import RecordBatch
 from repro.telemetry.gateway import gateway_scenarios
 from repro.telemetry.loadgen import FleetConfig, FleetLoadGenerator
@@ -92,6 +96,32 @@ class TestAdaptiveChaos:
         assert sha256_canonical(adapt_report(name)) == (
             pins["scenarios"][name]
         ), f"adapt:{name} diverged from its pin"
+
+
+# ----------------------------------------------------------------------
+# DAG campaign: all 9 scenarios (pinned)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def dag_by_name():
+    return dag_digests()
+
+
+class TestDagCampaign:
+    def test_matrix_is_complete(self, dag_by_name):
+        expected = {s.name for s in default_dag_scenarios()}
+        assert len(expected) == 9
+        assert set(dag_by_name) == expected
+        pins = load_pins()["dag_campaign"]
+        assert pins["n_frames"] == DAG_PIN_FRAMES
+        assert set(pins["scenarios"]) == expected
+
+    @pytest.mark.parametrize(
+        "name", [s.name for s in default_dag_scenarios()]
+    )
+    def test_scenario_digest_identical(self, dag_by_name, name):
+        assert sha256_canonical(dag_by_name[name]) == (
+            load_pins()["dag_campaign"]["scenarios"][name]
+        ), f"dag:{name} diverged from its pin"
 
 
 # ----------------------------------------------------------------------
