@@ -42,6 +42,10 @@ THROUGHPUT_FLOORS: Dict[str, tuple] = {
     # Batched SoA ingest vs the per-record scalar telemetry path on the
     # same pre-materialized fleet stream.
     "ingest_batched": ("telemetry_ingest", 2.0),
+    # Cell-graph clustering vs the per-point BFS; ground classification
+    # is common to both sides, so the ratio understates the clustering
+    # gain.
+    "perception_numerics": ("perception_numerics_bfs", 5.0),
 }
 
 

@@ -1,16 +1,17 @@
 """Reference implementations: test oracles and bench floor twins.
 
-Production code has one path per concern -- the calendar-queue kernel
-and the columnar telemetry ingest.  The implementations they replaced
-live here, unchanged, for two consumers only:
+Production code has one path per concern -- the calendar-queue kernel,
+the columnar telemetry ingest and the cell-graph euclidean clustering.
+The implementations they replaced live here, unchanged, for two
+consumers only:
 
 - the differential tests, which hold the fast paths to the references'
   observable behaviour (pop order, firing order, store digests, alert
-  logs);
+  logs, cluster membership and boxes);
 - the ``THROUGHPUT_FLOORS`` twins in :mod:`repro.bench.suites`
   (``timer_rearm_heap``, ``kernel_cancel_sweep_heap``,
-  ``telemetry_ingest``), which time the reference on identical work in
-  the same invocation.
+  ``telemetry_ingest``, ``perception_numerics_bfs``), which time the
+  reference on identical work in the same invocation.
 
 No flag, option or environment variable selects them.
 
@@ -21,12 +22,18 @@ No flag, option or environment variable selects them.
 - :class:`EagerHeapQueue` -- a plain heap with the calendar queue's
   eager-cancel compaction (the pop-order oracle of the calendar queue
   property tests).
+- :func:`bfs_euclidean_clusters` -- euclidean clustering as a
+  breadth-first search per point over a cell-bucket dict (the
+  differential oracle of ``tests/test_clustering_differential.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from collections import deque
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.sim.calendar import _MIN_COMPACT, Entry
 from repro.sim.kernel import (
@@ -37,7 +44,12 @@ from repro.sim.kernel import (
 )
 from repro.telemetry.service import TelemetryService
 
-__all__ = ["EagerHeapQueue", "HeapSimulator", "ScalarTelemetryService"]
+__all__ = [
+    "EagerHeapQueue",
+    "HeapSimulator",
+    "ScalarTelemetryService",
+    "bfs_euclidean_clusters",
+]
 
 #: Heap entry layout: ``(time, priority, seq, event)``.  ``seq`` is unique,
 #: so tuple comparison never reaches the (incomparable) event object.
@@ -286,3 +298,60 @@ class EagerHeapQueue:
                 continue
             return entry
         return None
+
+
+def bfs_euclidean_clusters(
+    xyz: np.ndarray, eps: float = 0.8, min_points: int = 8
+) -> List[np.ndarray]:
+    """Cluster points by a BFS per point; returns index arrays.
+
+    The implementation that the cell-graph
+    :func:`~repro.perception.clustering.euclidean_clusters` replaced:
+    same membership and cluster order, members in BFS visiting order.
+    Two points belong to the same cluster if a chain of points with
+    pairwise cell-adjacency (cell edge = eps) connects them -- the usual
+    grid approximation of euclidean cluster extraction.
+    """
+    if len(xyz) == 0:
+        return []
+    cells = np.floor(xyz / eps).astype(np.int64)
+    # Vectorized bucketing: stable lexsort groups points by cell while
+    # keeping ascending point order inside each bucket -- the same
+    # membership and order the per-point setdefault/append loop built.
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+    sorted_cells = cells[order]
+    if len(order) > 1:
+        change = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
+        starts = np.concatenate(([0], np.nonzero(change)[0] + 1))
+    else:
+        starts = np.array([0])
+    ends = np.concatenate((starts[1:], [len(order)]))
+    buckets: Dict[Tuple[int, int, int], np.ndarray] = {
+        tuple(sorted_cells[s]): order[s:e] for s, e in zip(starts, ends)
+    }
+    visited = np.zeros(len(xyz), dtype=bool)
+    clusters: List[np.ndarray] = []
+    neighbour_offsets = [
+        (dx, dy, dz)
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+        for dz in (-1, 0, 1)
+    ]
+    for seed in range(len(xyz)):
+        if visited[seed]:
+            continue
+        frontier = deque([seed])
+        visited[seed] = True
+        members = []
+        while frontier:
+            i = frontier.popleft()
+            members.append(i)
+            cx, cy, cz = cells[i]
+            for dx, dy, dz in neighbour_offsets:
+                for j in buckets.get((cx + dx, cy + dy, cz + dz), ()):
+                    if not visited[j]:
+                        visited[j] = True
+                        frontier.append(j)
+        if len(members) >= min_points:
+            clusters.append(np.asarray(members))
+    return clusters

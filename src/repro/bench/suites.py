@@ -252,7 +252,20 @@ def _synthetic_cloud(n_points: int = 4000) -> np.ndarray:
 
 def bench_perception_numerics() -> int:
     """Ground classification + euclidean clustering on a synthetic cloud."""
-    from repro.perception.clustering import boxes_from_clusters, euclidean_clusters
+    from repro.perception.clustering import euclidean_clusters
+
+    return _perception_numerics(euclidean_clusters)
+
+
+def bench_perception_numerics_bfs() -> int:
+    """``perception_numerics`` with the reference per-point BFS clustering."""
+    from repro.bench.reference import bfs_euclidean_clusters
+
+    return _perception_numerics(bfs_euclidean_clusters)
+
+
+def _perception_numerics(cluster_fn) -> int:
+    from repro.perception.clustering import boxes_from_clusters
     from repro.perception.ground_filter import classify_ground
     from repro.perception.pointcloud import PointCloud
 
@@ -261,7 +274,7 @@ def bench_perception_numerics() -> int:
     cloud = PointCloud(points=points, frame_index=0, stamp=0)
     mask = classify_ground(cloud)
     nonground = cloud.select(~mask)
-    clusters = euclidean_clusters(nonground.xyz)
+    clusters = cluster_fn(nonground.xyz)
     boxes_from_clusters(nonground.xyz, clusters)
     return len(cloud)
 
@@ -676,6 +689,8 @@ SUITES: Dict[str, List[Tuple[str, str, str, Callable[[], int]]]] = {
         ("stack_monitored", "e2e", "frames", bench_stack_monitored),
         ("stack_unmonitored", "e2e", "frames", bench_stack_unmonitored),
         ("perception_numerics", "perception", "points", bench_perception_numerics),
+        ("perception_numerics_bfs", "perception", "points",
+         bench_perception_numerics_bfs),
         ("budgeting_solve", "budgeting", "solves", bench_budgeting_solve),
         ("fault_scenario", "faults", "frames", bench_fault_scenario),
         ("telemetry_ingest", "telemetry", "records", bench_telemetry_ingest),

@@ -8,11 +8,9 @@ disabled against an in-process replica of the pre-tracing dispatch loop
 (no ``spans`` guard, no ``ctx`` slot on events) and fails when the
 guarded path's median exceeds the replica's by more than the threshold.
 
-Noise handling: both sides run in the same process, interleaved A/B
-with the order flipped on every trial, so clock drift, CPU-frequency
-changes and allocator warmup hit both sides symmetrically.  The verdict
-compares *medians* over the trial set, which drops one-off scheduler
-hiccups on either side.
+Noise handling: both sides run in the same process through
+:func:`repro.bench.paired.paired_medians` -- interleaved A/B with the
+order flipped on every trial, compared by medians.
 
 The recorder-attached cost (spans *on*) is reported alongside for
 context but never gated -- recording spans does real work, and its cost
@@ -28,11 +26,11 @@ from __future__ import annotations
 import argparse
 import heapq
 import itertools
-import statistics
 import sys
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
+
+from repro.bench.paired import paired_medians
 
 #: Events dispatched per timing trial.  Large enough that a trial takes
 #: several milliseconds, so perf_counter granularity and per-call
@@ -152,13 +150,16 @@ def _recorder_trial(n_events: int) -> int:
     return fired
 
 
-def _time_ns(fn: Callable[[int], int], n_events: int) -> int:
-    t0 = time.perf_counter_ns()
-    fired = fn(n_events)
-    elapsed = time.perf_counter_ns() - t0
-    if fired != n_events:
-        raise AssertionError(f"trial fired {fired} of {n_events} events")
-    return elapsed
+def _checked(fn: Callable[[int], int], n_events: int) -> Callable[[], int]:
+    """A zero-argument trial that fails unless every event fired."""
+
+    def trial() -> int:
+        fired = fn(n_events)
+        if fired != n_events:
+            raise AssertionError(f"trial fired {fired} of {n_events} events")
+        return fired
+
+    return trial
 
 
 # ----------------------------------------------------------------------
@@ -208,30 +209,12 @@ def run_gate(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> GateResult:
     """Run the interleaved A/B trials and fold them into a verdict."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    # Warm both paths (imports, bytecode caches, allocator pools).
-    _baseline_trial(n_events)
-    _guarded_trial(n_events)
-    _recorder_trial(n_events)
-
-    baseline: List[int] = []
-    guarded: List[int] = []
-    recorder: List[int] = []
-    for trial in range(trials):
-        # Flip the order every trial so slow drift (thermal, frequency
-        # scaling) cancels instead of biasing one side.
-        if trial % 2 == 0:
-            baseline.append(_time_ns(_baseline_trial, n_events))
-            guarded.append(_time_ns(_guarded_trial, n_events))
-        else:
-            guarded.append(_time_ns(_guarded_trial, n_events))
-            baseline.append(_time_ns(_baseline_trial, n_events))
-        recorder.append(_time_ns(_recorder_trial, n_events))
-
-    baseline_median = int(statistics.median(baseline))
-    guarded_median = int(statistics.median(guarded))
-    recorder_median = int(statistics.median(recorder))
+    baseline_median, guarded_median, recorder_median = paired_medians(
+        _checked(_baseline_trial, n_events),
+        _checked(_guarded_trial, n_events),
+        trials,
+        extra=_checked(_recorder_trial, n_events),
+    )
     return GateResult(
         trials=trials,
         n_events=n_events,

@@ -79,5 +79,10 @@ class TestCheckThroughputFloors:
         assert reference == "uplink_roundtrip"
         assert required == 2.0
 
+    def test_default_floors_pin_the_clustering_reference(self):
+        assert THROUGHPUT_FLOORS["perception_numerics"] == (
+            "perception_numerics_bfs", 5.0
+        )
+
     def test_synthetic_suites_are_schema_valid(self):
         validate_suite(_suite({"slow": 100.0, "fast": 250.0}))
