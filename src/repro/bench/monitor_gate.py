@@ -15,7 +15,9 @@ they add inside the simulation.
 
 Run it directly::
 
-    PYTHONPATH=src python -m repro.bench.monitor_gate --threshold 0.25
+    PYTHONPATH=src python -m repro.bench.monitor_gate
+
+It exits non-zero when the overhead exceeds :data:`DEFAULT_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -99,12 +101,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.monitor_gate",
         description="Fail when the monitored perception stack is more "
-        "than --threshold slower than the unmonitored one.",
+        f"than {DEFAULT_THRESHOLD:.0%} slower than the unmonitored one.",
     )
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    args = parser.parse_args(argv)
-    result = run_gate(trials=args.trials, threshold=args.threshold)
+    parser.parse_args(argv)
+    result = run_gate()
     print(result.render())
     return 0 if result.passed else 1
 
